@@ -74,53 +74,6 @@ impl FifoChannel {
         }
     }
 
-    /// Pops messages off the head while they equal `r`, returning how many
-    /// were removed. Used by the explorer's absorbed-read normalization: a
-    /// pending announcement equal to the reader's current ρ is consumed
-    /// without observable effect, so the normal form removes it eagerly.
-    pub fn pop_front_while_eq(&mut self, r: &Route) -> usize {
-        let mut popped = 0;
-        while self.queue.front() == Some(r) {
-            self.queue.pop_front();
-            popped += 1;
-        }
-        popped
-    }
-
-    /// Applies `f` to each queued message oldest-first, replacing those for
-    /// which it returns a substitute; returns how many were replaced. Used
-    /// by explorers that rewrite in-flight announcements into normal forms
-    /// (the queue length never changes).
-    pub fn rewrite<F>(&mut self, mut f: F) -> usize
-    where
-        F: FnMut(&Route) -> Option<Route>,
-    {
-        let mut changed = 0;
-        for m in &mut self.queue {
-            if let Some(r) = f(m) {
-                *m = r;
-                changed += 1;
-            }
-        }
-        changed
-    }
-
-    /// Collapses the queue to a sorted, deduplicated set of routes and
-    /// returns `true` when that changed anything. Used by the explorer as an
-    /// exact abstraction for unreliable all-messages channels, where reads
-    /// consume the whole queue and only the (arbitrary) surviving suffix
-    /// matters — order and multiplicity are unobservable.
-    pub fn collapse_to_set(&mut self) -> bool {
-        let before = self.queue.len();
-        let mut routes: Vec<Route> = std::mem::take(&mut self.queue).into();
-        let sorted = routes.windows(2).all(|w| w[0] < w[1]);
-        routes.sort_unstable();
-        routes.dedup();
-        let changed = routes.len() != before || !sorted;
-        self.queue = routes.into();
-        changed
-    }
-
     /// Processes the channel with count `take` and 1-based drop set `drops`:
     /// computes `i = min(f, m_c)` (all of `m_c` for [`Take::All`]), learns
     /// the last non-dropped message among the first `i`, and deletes the
@@ -250,36 +203,6 @@ mod tests {
         let out = c.process(Take::Count(0), []);
         assert_eq!(out, ProcessOutcome { consumed: 0, dropped: 0, learned: None });
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn pop_front_while_eq_removes_matching_prefix() {
-        let mut c = FifoChannel::new();
-        c.push(r(&[1, 0]));
-        c.push(r(&[1, 0]));
-        c.push(r(&[2, 0]));
-        c.push(r(&[1, 0]));
-        assert_eq!(c.pop_front_while_eq(&r(&[1, 0])), 2);
-        // Stops at the first non-matching message, even if more matches
-        // follow deeper in the queue.
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.peek(1), Some(&r(&[2, 0])));
-        assert_eq!(c.pop_front_while_eq(&r(&[1, 0])), 0);
-    }
-
-    #[test]
-    fn collapse_to_set_sorts_and_dedups() {
-        let mut c = FifoChannel::new();
-        c.push(r(&[2, 0]));
-        c.push(Route::empty());
-        c.push(r(&[2, 0]));
-        c.push(r(&[1, 0]));
-        assert!(c.collapse_to_set());
-        let all: Vec<&Route> = c.iter().collect();
-        assert_eq!(all, vec![&Route::empty(), &r(&[1, 0]), &r(&[2, 0])]);
-        // Idempotent: a second collapse reports no change.
-        assert!(!c.collapse_to_set());
-        assert!(!FifoChannel::new().collapse_to_set());
     }
 
     #[test]

@@ -153,44 +153,6 @@ impl NetworkState {
             q.collapse_to_newest();
         }
     }
-
-    /// Collapses one channel's queue to its newest message (the per-channel
-    /// form of [`NetworkState::collapse_queues_to_newest`], for models whose
-    /// channels mix read policies).
-    pub fn collapse_queue_to_newest(&mut self, c: usize) {
-        self.queues[c].collapse_to_newest();
-    }
-
-    /// Pops channel `c`'s head messages while they equal the channel's ρ and
-    /// returns how many were removed. Reading such a message leaves ρ — and
-    /// therefore the reader's choice — unchanged, so the explorer's
-    /// absorbed-read normalization consumes it eagerly.
-    pub fn absorb_queue_head(&mut self, c: usize) -> usize {
-        self.queues[c].pop_front_while_eq(&self.learned[c])
-    }
-
-    /// Collapses channel `c`'s queue to a sorted deduplicated set; returns
-    /// `true` when anything changed. Exact for unreliable all-messages
-    /// channels (see [`FifoChannel::collapse_to_set`]).
-    pub fn collapse_queue_to_set(&mut self, c: usize) -> bool {
-        self.queues[c].collapse_to_set()
-    }
-
-    /// Applies `f` to channel `c`'s ρ and to each of its queued messages,
-    /// replacing entries for which it returns a substitute; returns how
-    /// many were replaced. Used by explorers that project routes onto
-    /// observational-equivalence representatives.
-    pub fn rewrite_channel_routes<F>(&mut self, c: usize, mut f: F) -> usize
-    where
-        F: FnMut(&Route) -> Option<Route>,
-    {
-        let mut changed = 0;
-        if let Some(r) = f(&self.learned[c]) {
-            self.learned[c] = r;
-            changed += 1;
-        }
-        changed + self.queues[c].rewrite(f)
-    }
 }
 
 #[cfg(test)]

@@ -8,30 +8,29 @@
 //! sequential reference ([`build_spec_reference`]) that the differential
 //! tests compare against.
 //!
-//! Unreduced builds run on the packed fast path
-//! ([`crate::exec_packed`]): successors are computed directly on the packed
-//! words, never materializing a [`NetworkState`] per candidate. Reduced
-//! builds keep the engine-executed path — the reduction layer's normal
-//! forms operate on decoded states, and reduced spaces are small enough
-//! that decode cost is irrelevant there.
+//! Reduced and unreduced builds share one successor function, the packed
+//! kernel [`crate::exec_packed`]: successors are computed directly on the
+//! packed words, never materializing a [`NetworkState`] per candidate. The
+//! two differ only in the per-channel mode table the kernel runs with —
+//! the reduction layer's normal forms for reduced builds, newest-collapse
+//! on collapsible models for unreduced ones.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use routelab_core::model::CommModel;
-use routelab_engine::exec::execute_step;
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
 use routelab_spp::SppInstance;
 
 use crate::arena::{MatScratch, NodeArena};
-use crate::effects::{all_steps, all_steps_with, Spec};
+use crate::effects::{all_steps_with, Spec};
 use crate::error::ExploreError;
-use crate::exec_packed::{Applied, ExecTables, PackedScratch};
+use crate::exec_packed::{Applied, ChannelMode, ExecTables, PackedScratch};
 use crate::frontier::{self, BfsOptions, BfsResult, FrontierStats, SuccBuf};
 use crate::pack::{PackedState, StateCodec};
-use crate::reduce::{Reducer, ReductionStats, SymTables};
+use crate::reduce::{self, Reducer, ReductionStats, SymTables};
 
 /// Bounds for exhaustive exploration.
 #[derive(Debug, Clone)]
@@ -83,11 +82,11 @@ impl ExploreConfig {
     }
 }
 
-/// The state-independent payload of an edge label: the canonical step and
-/// the channel sets derived from it. Shared behind an [`Arc`] — the
-/// unreduced fast path interns one `StepInfo` per distinct step and hands
-/// out handles, so labeling millions of edges costs reference counts, not
-/// allocations.
+/// The payload of an edge label: the canonical step and the channel sets
+/// derived from it. Shared behind an [`Arc`] — the builder interns one
+/// `StepInfo` per distinct step and hands out handles, so labeling millions
+/// of edges costs reference counts, not allocations. Only edges that
+/// absorbed reads (reduced builds) get a descriptor of their own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepInfo {
     /// The canonical step generating the transition (for witness replay).
@@ -224,7 +223,7 @@ struct ProfileSteps {
     capped: bool,
 }
 
-/// Per-worker memo of the fast path's step enumeration. The step set is a
+/// Per-worker memo of the builder's step enumeration. The step set is a
 /// pure function of the parent's queue-length profile, so states sharing a
 /// profile share one enumeration and one set of `Arc<StepInfo>` labels —
 /// the hot loop allocates nothing per candidate.
@@ -253,12 +252,27 @@ impl StepCatalog {
     }
 }
 
+/// `info` with the absorbed channels added to its attended and kept sets:
+/// absorbed reads fire inside the merged edge.
+fn with_absorbed(info: &StepInfo, absorbed: &[usize]) -> StepInfo {
+    let merge = |xs: &[usize]| {
+        let mut v = [xs, absorbed].concat();
+        v.sort_unstable();
+        v.dedup();
+        v
+    };
+    StepInfo {
+        step: info.step.clone(),
+        attended: merge(&info.attended),
+        kept: merge(&info.kept),
+        dropped: info.dropped.clone(),
+    }
+}
+
 /// Reusable per-worker expansion scratch.
 #[derive(Default)]
 pub(crate) struct GraphScratch {
     packed: PackedScratch,
-    absorbed: Vec<usize>,
-    enc: Vec<u16>,
     catalog: StepCatalog,
 }
 
@@ -287,28 +301,27 @@ struct GraphExpand<'a> {
     inst: &'a SppInstance,
     index: &'a ChannelIndex,
     spec: Spec<'a>,
-    codec: &'a StateCodec,
-    collapse: bool,
     cfg: &'a ExploreConfig,
     reduce: Option<&'a Reducer>,
-    /// Packed-space execution tables; `Some` exactly when the build runs
-    /// unreduced (the fast path produces the raw graph bit-identically).
-    fast: Option<ExecTables>,
+    tables: ExecTables,
 }
 
-impl GraphExpand<'_> {
-    /// The packed fast path: canonical steps resolved through the
-    /// per-worker [`StepCatalog`] (keyed on the packed queue-length
-    /// header), successors written straight into the expansion buffer. No
-    /// `NetworkState` is ever built and no label data is allocated per
-    /// candidate.
-    fn expand_fast(
+impl frontier::Expand for GraphExpand<'_> {
+    type Label = EdgePayload;
+    type Scratch = GraphScratch;
+
+    /// Canonical steps resolved through the per-worker [`StepCatalog`]
+    /// (keyed on the packed queue-length header), successors written
+    /// straight into the expansion buffer by the packed kernel, then
+    /// canonicalized under the symmetry group when reducing.
+    fn expand(
         &self,
-        tables: &ExecTables,
+        _id: u32,
         node: &[u16],
         out: &mut SuccBuf<EdgePayload>,
         scratch: &mut GraphScratch,
     ) -> Result<bool, ExploreError> {
+        let tables = &self.tables;
         let profile = match scratch.catalog.by_profile.get(tables.qlen_profile(node)) {
             Some(p) => {
                 scratch.catalog.profile_hits += 1;
@@ -336,121 +349,46 @@ impl GraphExpand<'_> {
             }
         };
         let mut truncated = profile.capped;
-        tables.prepare(node, &mut scratch.packed);
+        let packed = &mut scratch.packed;
+        tables.prepare(node, packed);
         for info in &profile.steps {
             let cs = &info.step;
             let mark = out.mark();
-            match tables.apply(node, &mut scratch.packed, cs, self.cfg.channel_cap, out.words()) {
+            let new_rid = match tables.apply(node, packed, cs, self.cfg.channel_cap, out.words()) {
                 Applied::Capped => {
                     truncated = true;
                     out.cancel(mark);
-                }
-                Applied::Ok { new_rid, announcing: _ } => {
-                    if out.since(mark) == node {
-                        out.cancel(mark); // state-preserving: noop annotations
-                        continue;
-                    }
-                    let changes_pi = new_rid != node[cs.node.index()];
-                    out.commit(mark, EdgePayload { info: Arc::clone(info), changes_pi, sym: 0 });
-                }
-            }
-        }
-        Ok(truncated)
-    }
-
-    /// The engine-executed path, used by reduced builds: decode, run
-    /// `execute_step`, apply the reduction normal forms, re-encode.
-    fn expand_general(
-        &self,
-        node: &[u16],
-        out: &mut SuccBuf<EdgePayload>,
-        scratch: &mut GraphScratch,
-    ) -> Result<bool, ExploreError> {
-        let state = self.codec.decode_words(node)?;
-        let (steps, capped) = all_steps(
-            self.spec,
-            self.index,
-            &state,
-            self.inst.node_count(),
-            self.cfg.max_steps_per_state,
-        );
-        let mut truncated = capped;
-        for cs in steps {
-            let activation = cs.to_activation(self.spec, self.index);
-            let mut next = state.clone();
-            let effect = execute_step(self.inst, self.index, &mut next, &activation);
-            if let Some(red) = self.reduce {
-                red.normalize(&mut next, &mut scratch.absorbed);
-                if red.exceeds_cap(&next, self.cfg.channel_cap) {
-                    truncated = true;
                     continue;
                 }
-            } else {
-                if self.collapse {
-                    // Exact abstraction for R·A models: only the newest
-                    // queued message can ever be learned.
-                    next.collapse_queues_to_newest();
-                }
-                if next.max_queue_len() > self.cfg.channel_cap {
-                    truncated = true;
-                    continue;
-                }
-            }
-            self.codec.encode_into(&next, &mut scratch.enc)?;
+                Applied::Ok { new_rid } => new_rid,
+            };
             // The self-loop test runs *before* canonicalization: a real
             // transition whose canonical image happens to equal the source
             // is a genuine quotient self-loop and must be kept.
-            if scratch.enc.as_slice() == node {
-                continue; // state-preserving: handled by noop annotations
+            if out.since(mark) == node {
+                out.cancel(mark); // state-preserving: noop annotations
+                continue;
             }
-            let (canon, sym) = match self.reduce {
-                Some(red) => red.canonicalize_words(&scratch.enc),
-                None => (None, 0),
+            let info = if packed.absorbed.is_empty() {
+                Arc::clone(info)
+            } else {
+                Arc::new(with_absorbed(info, &packed.absorbed))
             };
-            let mut attended = cs.attended(self.spec);
-            let mut kept = effect.kept_on;
-            if self.reduce.is_some() && !scratch.absorbed.is_empty() {
-                // Absorbed reads fire inside this merged edge: the edge
-                // attends (and keeps on) the channels it drained.
-                attended.extend_from_slice(&scratch.absorbed);
-                attended.sort_unstable();
-                attended.dedup();
-                kept.extend_from_slice(&scratch.absorbed);
-                kept.sort_unstable();
-                kept.dedup();
-            }
-            // Reduced labels are state-dependent (absorbed reads extend the
-            // attended/kept sets), so each edge gets a fresh descriptor —
-            // reduced spaces are small enough for that not to matter.
-            let payload = EdgePayload {
-                info: Arc::new(StepInfo { step: cs, attended, kept, dropped: effect.dropped_on }),
-                changes_pi: !effect.changed.is_empty(),
-                sym,
+            let sym = match self.reduce.map(|red| red.canonicalize_words(out.since(mark))) {
+                Some((Some(canon), g)) => {
+                    out.cancel(mark);
+                    out.words().extend_from_slice(&canon);
+                    g
+                }
+                _ => 0,
             };
-            match canon {
-                Some(ws) => out.push(&ws, payload),
-                None => out.push(&scratch.enc, payload),
-            }
+            let changes_pi = new_rid != node[cs.node.index()];
+            out.commit(mark, EdgePayload { info, changes_pi, sym });
+        }
+        if let Some(red) = self.reduce {
+            red.record(std::mem::take(&mut packed.counts));
         }
         Ok(truncated)
-    }
-}
-
-impl frontier::Expand for GraphExpand<'_> {
-    type Label = EdgePayload;
-    type Scratch = GraphScratch;
-
-    fn expand(
-        &self,
-        _id: u32,
-        node: &[u16],
-        out: &mut SuccBuf<EdgePayload>,
-        scratch: &mut GraphScratch,
-    ) -> Result<bool, ExploreError> {
-        match &self.fast {
-            Some(tables) => self.expand_fast(tables, node, out, scratch),
-            None => self.expand_general(node, out, scratch),
-        }
     }
 }
 
@@ -604,21 +542,24 @@ fn build_with(
     let index = ChannelIndex::new(inst.graph());
     let codec = StateCodec::new(inst, &index, cell.as_str())?;
     let reducer = cfg.reduce.then(|| Reducer::new(inst, &index, &codec, spec));
-    let root = codec.encode(&NetworkState::initial(inst, &index))?;
-    let root = match &reducer {
-        Some(red) => red.canonicalize(root).0,
-        None => root,
+    let mut root = Vec::new();
+    codec.encode_into(&NetworkState::initial(inst, &index), &mut root)?;
+    if let Some((Some(canon), _)) = reducer.as_ref().map(|red| red.canonicalize_words(&root)) {
+        root = canon;
+    }
+    let modes = match reducer {
+        Some(_) => reduce::channel_modes(inst, &index, &codec, spec),
+        None => {
+            vec![ChannelMode { newest: spec.collapsible(), ..ChannelMode::default() }; index.len()]
+        }
     };
-    let fast = reducer.is_none().then(|| ExecTables::new(inst, &index, &codec, spec));
     let exp = GraphExpand {
         inst,
         index: &index,
         spec,
-        codec: &codec,
-        collapse: spec.collapsible(),
         cfg,
         reduce: reducer.as_ref(),
-        fast,
+        tables: ExecTables::new(inst, &index, &codec, modes),
     };
     let opts = BfsOptions {
         threads: cfg.resolved_threads(),
@@ -630,9 +571,9 @@ fn build_with(
         spill_resident_bytes: cfg.spill_resident_bytes,
     };
     let r = if reference {
-        frontier::bfs_reference(&exp, root.as_u16s(), &cell, &opts)?
+        frontier::bfs_reference(&exp, &root, &cell, &opts)?
     } else {
-        frontier::bfs(&exp, root.as_u16s(), &cell, &opts)?
+        frontier::bfs(&exp, &root, &cell, &opts)?
     };
     let (reduction, sym) = match reducer {
         Some(red) => (red.stats(), red.sym.clone()),

@@ -44,7 +44,8 @@ impl PackedState {
         self.0.len()
     }
 
-    /// The raw route-id buffer (for the reduction layer's canonicalizers).
+    /// The raw route-id buffer.
+    #[cfg(test)]
     pub(crate) fn as_u16s(&self) -> &[u16] {
         &self.0
     }
@@ -126,6 +127,18 @@ impl StateCodec {
     /// The interned route universe, id order.
     pub(crate) fn routes(&self) -> &[Route] {
         &self.routes
+    }
+
+    /// `key[id]`: the position of route `id` under the route order — the
+    /// order set-collapsed queues are sorted by.
+    pub(crate) fn route_order(&self) -> Vec<u32> {
+        let mut by_route: Vec<usize> = (0..self.routes.len()).collect();
+        by_route.sort_unstable_by(|&a, &b| self.routes[a].cmp(&self.routes[b]));
+        let mut key = vec![0u32; by_route.len()];
+        for (k, &id) in by_route.iter().enumerate() {
+            key[id] = k as u32;
+        }
+        key
     }
 
     /// Number of interned routes.

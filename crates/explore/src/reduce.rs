@@ -44,6 +44,11 @@
 //!    are therefore exempt from the channel cap — the `U·A` state spaces
 //!    become finite and the survey's `?` cells decidable.
 //!
+//! The packed kernel ([`crate::exec_packed`]) applies the four as word
+//! edits to the channels a step touches, from the per-channel mode table
+//! [`channel_modes`] compiles; this module owns the tables, the symmetry
+//! quotient and the counters.
+//!
 //! On top, **symmetry reduction**: states are canonicalized to the
 //! lexicographically least image under the instance's automorphism group
 //! (detected once per gadget in `routelab_spp::automorphism`). Each edge
@@ -53,19 +58,19 @@
 //! caveat), so running the Streett-style check directly on the quotient
 //! would be unsound.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use routelab_core::dims::{MessagePolicy, NeighborScope, Reliability};
 use routelab_engine::index::ChannelIndex;
-use routelab_engine::state::NetworkState;
 use routelab_spp::{automorphisms, Channel, NodeId, Route, SppInstance};
 
 use crate::arena::NodeArena;
 use crate::effects::Spec;
+use crate::exec_packed::{ChannelMode, NormCounts};
 use crate::graph::{EdgeLabel, StateGraph, StepInfo};
-use crate::pack::{PackedState, StateCodec};
+use crate::pack::StateCodec;
 
 /// Aggregated reduction activity of one graph build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,18 +90,8 @@ pub struct ReductionStats {
     pub group_order: usize,
 }
 
-/// How the reducer treats one channel's queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChannelMode {
-    /// Collapse to the newest message (reliable, policy-`A` reader).
-    newest: bool,
-    /// Collapse to a sorted set (unreliable, policy-`A` reader); exempt
-    /// from the channel cap.
-    set: bool,
-    /// Pop absorbed heads (scope-`1`/`M` reader with a head-keeping read).
-    absorb: bool,
-}
-
+/// The queue normal forms of channel `c` under `spec`, with the identity
+/// route projection.
 fn mode_for(spec: Spec<'_>, index: &ChannelIndex, c: usize) -> ChannelMode {
     let ch = index.channel(c);
     let policy = spec.messages(ch.to);
@@ -110,45 +105,53 @@ fn mode_for(spec: Spec<'_>, index: &ChannelIndex, c: usize) -> ChannelMode {
         // For a set-collapsed queue "head" is meaningless, and a scope-E
         // reader cannot perform the standalone absorbing read.
         absorb: scope != NeighborScope::Every && !set,
+        class: Vec::new(),
     }
 }
 
-/// Per-build reduction state: channel modes, symmetry tables, counters.
-#[derive(Debug)]
-pub(crate) struct Reducer {
-    modes: Vec<ChannelMode>,
-    /// Per channel `c = (u, v)`: the sorted set of routes whose extension
-    /// by `v` is permitted at `v` — every other route (including ε) is
-    /// observationally ⊥ there and projects onto ε.
-    usable: Vec<Vec<Route>>,
-    pub(crate) sym: Option<Arc<SymTables>>,
-    canon_rewrites: AtomicU64,
-    pops: AtomicU64,
-    set_collapses: AtomicU64,
-    sym_hits: AtomicU64,
-}
-
-/// The per-channel usable-route sets of the class projection: for
-/// `c = (u, v)`, the tails of `v`'s permitted paths whose next hop is `u`.
-/// On reachable states (channel contents are announcements of `u`, i.e.
-/// routes sourced at `u`, or ε) membership coincides exactly with
-/// [`SppInstance::candidate`] succeeding at `v`. Channels into the
-/// destination get the empty set: `d`'s choice is always `(d)`.
-fn usable_routes(inst: &SppInstance, index: &ChannelIndex) -> Vec<Vec<Route>> {
+/// The reduced build's mode table for the packed kernel: per channel
+/// `c = (u, v)`, the normal forms of [`mode_for`] plus the route-class
+/// projection as an id table. A route is *usable* on `c` when it is the
+/// tail of one of `v`'s permitted paths whose next hop is `u`; on reachable
+/// states (channel contents are announcements of `u`, i.e. routes sourced
+/// at `u`, or ε) that coincides exactly with [`SppInstance::candidate`]
+/// succeeding at `v`. Usable routes map to themselves; every other route —
+/// ε, and everything on channels into the destination, whose choice is
+/// always `(d)` — is observationally ⊥ there and maps to ε (id 0).
+pub(crate) fn channel_modes(
+    inst: &SppInstance,
+    index: &ChannelIndex,
+    codec: &StateCodec,
+    spec: Spec<'_>,
+) -> Vec<ChannelMode> {
     (0..index.len())
         .map(|c| {
             let ch = index.channel(c);
-            let mut u: Vec<Route> = inst
+            let usable: HashSet<Route> = inst
                 .permitted(ch.to)
                 .iter()
                 .filter(|rp| rp.path.len() >= 2 && rp.path.next_hop() == Some(ch.from))
                 .map(|rp| Route::path(rp.path.suffix(1)))
                 .collect();
-            u.sort_unstable();
-            u.dedup();
-            u
+            let class = codec
+                .routes()
+                .iter()
+                .enumerate()
+                .map(|(id, r)| if usable.contains(r) { id as u16 } else { 0 })
+                .collect();
+            ChannelMode { class, ..mode_for(spec, index, c) }
         })
         .collect()
+}
+
+/// Per-build reduction state: symmetry tables and counters.
+#[derive(Debug)]
+pub(crate) struct Reducer {
+    pub(crate) sym: Option<Arc<SymTables>>,
+    canon_rewrites: AtomicU64,
+    pops: AtomicU64,
+    set_collapses: AtomicU64,
+    sym_hits: AtomicU64,
 }
 
 impl Reducer {
@@ -159,8 +162,6 @@ impl Reducer {
         spec: Spec<'_>,
     ) -> Self {
         Reducer {
-            modes: (0..index.len()).map(|c| mode_for(spec, index, c)).collect(),
-            usable: usable_routes(inst, index),
             sym: SymTables::detect(inst, index, codec, spec).map(Arc::new),
             canon_rewrites: AtomicU64::new(0),
             pops: AtomicU64::new(0),
@@ -169,65 +170,11 @@ impl Reducer {
         }
     }
 
-    /// Rewrites `next` into its queue normal form. Channels whose head was
-    /// absorbed (popped) are appended to `absorbed` — the caller must
-    /// annotate the edge as attending and keeping on them.
-    pub(crate) fn normalize(&self, next: &mut NetworkState, absorbed: &mut Vec<usize>) {
-        absorbed.clear();
-        let mut rewrites = 0u64;
-        let mut pops = 0u64;
-        let mut collapses = 0u64;
-        for (c, mode) in self.modes.iter().enumerate() {
-            // Class projection first: it can only create further absorb,
-            // newest and set-dedup opportunities, never destroy them.
-            let usable = &self.usable[c];
-            rewrites += next.rewrite_channel_routes(c, |r| {
-                (!r.is_epsilon() && usable.binary_search(r).is_err()).then(Route::empty)
-            }) as u64;
-            if mode.newest {
-                next.collapse_queue_to_newest(c);
-            }
-            if mode.set && next.collapse_queue_to_set(c) {
-                collapses += 1;
-            }
-            if mode.absorb {
-                let popped = next.absorb_queue_head(c);
-                if popped > 0 {
-                    pops += popped as u64;
-                    absorbed.push(c);
-                }
-            }
-        }
-        if rewrites > 0 {
-            self.canon_rewrites.fetch_add(rewrites, Ordering::Relaxed);
-        }
-        if pops > 0 {
-            self.pops.fetch_add(pops, Ordering::Relaxed);
-        }
-        if collapses > 0 {
-            self.set_collapses.fetch_add(collapses, Ordering::Relaxed);
-        }
-    }
-
-    /// The channel-cap test, skipping set-collapsed channels (their size is
-    /// bounded by the sender's announcement universe, not the cap).
-    pub(crate) fn exceeds_cap(&self, s: &NetworkState, cap: usize) -> bool {
-        self.modes.iter().enumerate().any(|(c, m)| !m.set && s.queue(c).len() > cap)
-    }
-
-    /// Canonicalizes a packed state under the symmetry group; returns the
-    /// representative and the group element that was applied (0 = identity).
-    pub(crate) fn canonicalize(&self, p: PackedState) -> (PackedState, u16) {
-        match &self.sym {
-            Some(t) => {
-                let (q, g) = t.canonicalize(p);
-                if g != 0 {
-                    self.sym_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                (q, g)
-            }
-            None => (p, 0),
-        }
+    /// Adds the packed kernel's normal-form activity to the counters.
+    pub(crate) fn record(&self, counts: NormCounts) {
+        self.canon_rewrites.fetch_add(counts.rewrites, Ordering::Relaxed);
+        self.pops.fetch_add(counts.pops, Ordering::Relaxed);
+        self.set_collapses.fetch_add(counts.set_collapses, Ordering::Relaxed);
     }
 
     /// Word-level canonicalization for the frontier hot loop: returns the
@@ -358,15 +305,7 @@ impl SymTables {
         let mult: Vec<Vec<usize>> =
             auts.iter().map(|a| auts.iter().map(|b| pos(&a.compose(b))).collect()).collect();
         let set_channels: Vec<bool> = (0..m).map(|c| mode_for(spec, index, c).set).collect();
-        let mut by_route: Vec<u16> = (0..codec.route_count() as u16).collect();
-        by_route.sort_unstable_by(|&a, &b| {
-            codec.routes()[usize::from(a)].cmp(&codec.routes()[usize::from(b)])
-        });
-        let mut sort_key = vec![0u32; by_route.len()];
-        for (k, &id) in by_route.iter().enumerate() {
-            sort_key[usize::from(id)] = k as u32;
-        }
-        Some(SymTables { n, m, elems, inv, mult, set_channels, sort_key })
+        Some(SymTables { n, m, elems, inv, mult, set_channels, sort_key: codec.route_order() })
     }
 
     /// Group order.
@@ -425,19 +364,10 @@ impl SymTables {
         out
     }
 
-    /// The lexicographically least image of `p` over the group, with the
-    /// element that produced it (0 when `p` is already canonical; ties
-    /// resolve to the smallest element index, so the result is a function
-    /// of the buffer alone).
-    pub(crate) fn canonicalize(&self, p: PackedState) -> (PackedState, u16) {
-        match self.canonicalize_words(p.as_u16s()) {
-            (Some(ws), g) => (PackedState::from_u16s(ws), g),
-            (None, _) => (p, 0),
-        }
-    }
-
-    /// Word-level variant of [`SymTables::canonicalize`]: `None` when `raw`
-    /// is already the least element of its orbit.
+    /// The lexicographically least image of `raw` over the group, with the
+    /// element that produced it; `None` when `raw` is already the least
+    /// element of its orbit (ties resolve to the smallest element index, so
+    /// the result is a function of the buffer alone).
     pub(crate) fn canonicalize_words(&self, raw: &[u16]) -> (Option<Vec<u16>>, u16) {
         let mut best: Option<(Vec<u16>, usize)> = None;
         for g in 1..self.elems.len() {
@@ -528,7 +458,17 @@ pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::PackedState;
+    use routelab_engine::state::NetworkState;
     use routelab_spp::gadgets;
+
+    /// The canonical representative of `p` and the group element applied.
+    fn canonicalize(t: &SymTables, p: PackedState) -> (PackedState, u16) {
+        match t.canonicalize_words(p.as_u16s()) {
+            (Some(ws), g) => (PackedState::from_u16s(ws), g),
+            (None, _) => (p, 0),
+        }
+    }
 
     fn uniform() -> Spec<'static> {
         Spec::Uniform("R1O".parse().unwrap())
@@ -619,11 +559,11 @@ mod tests {
         let p = codec.encode(&state).unwrap();
         for g in 0..t.order() {
             let img = PackedState::from_u16s(t.transform(p.as_u16s(), g));
-            let (canon, _) = t.canonicalize(img);
-            let (again, e2) = t.canonicalize(canon.clone());
+            let (canon, _) = canonicalize(&t, img);
+            let (again, e2) = canonicalize(&t, canon.clone());
             assert_eq!(canon, again, "idempotent");
             assert_eq!(e2, 0, "canonical forms are fixed points");
-            let (base, _) = t.canonicalize(p.clone());
+            let (base, _) = canonicalize(&t, p.clone());
             assert_eq!(canon, base, "same orbit, same representative");
         }
     }
@@ -685,16 +625,16 @@ mod tests {
                 let (index, codec, t) = tables(&inst);
                 let state = walk_state(&inst, &index, &walk);
                 let p = codec.encode(&state).expect("reachable states encode");
-                let (canon, _) = t.canonicalize(p.clone());
+                let (canon, _) = canonicalize(&t, p.clone());
                 // Idempotence: a canonical form is its own representative.
-                let (again, g2) = t.canonicalize(canon.clone());
+                let (again, g2) = canonicalize(&t, canon.clone());
                 prop_assert_eq!(&again, &canon);
                 prop_assert_eq!(g2, 0);
                 // Permutation invariance: every image of the orbit
                 // canonicalizes to the same representative.
                 for g in 0..t.order() {
                     let img = PackedState::from_u16s(t.transform(p.as_u16s(), g));
-                    let (c2, _) = t.canonicalize(img);
+                    let (c2, _) = canonicalize(&t, img);
                     prop_assert_eq!(&c2, &canon, "element {}", g);
                 }
             }
@@ -703,42 +643,55 @@ mod tests {
 
     #[test]
     fn class_projection_rewrites_unusable_routes_to_epsilon() {
-        // FIG6: on channel (x, a) the route xd is usable (axd is permitted
-        // at a) and must survive the projection; on (x, d) the same
-        // announcement can never extend at the destination and projects
-        // onto ε, where the absorbed-read normalization then pops it.
+        // FIG6: x reads (d) and announces xd on (x, a) and (x, d). On
+        // (x, a) the route xd is usable (axd is permitted at a) and must
+        // survive the projection; on (x, d) the same announcement can never
+        // extend at the destination and projects onto ε, where the
+        // absorbed-read normalization then pops it.
+        use crate::effects::{CanonicalStep, ChannelEffect};
+        use crate::exec_packed::{Applied, ExecTables, PackedScratch};
         let inst = gadgets::fig6();
         let index = ChannelIndex::new(inst.graph());
         let codec = StateCodec::new(&inst, &index, "t").unwrap();
-        let red = Reducer::new(&inst, &index, &codec, uniform());
+        let tables =
+            ExecTables::new(&inst, &index, &codec, channel_modes(&inst, &index, &codec, uniform()));
         let x = inst.node_by_name("x").unwrap();
         let a = inst.node_by_name("a").unwrap();
         let d = inst.dest();
+        let dx = index.id(Channel::new(d, x)).unwrap();
         let xa = index.id(Channel::new(x, a)).unwrap();
-        let xd = Route::path(inst.parse_path("xd").unwrap());
         let xd_chan = index.id(Channel::new(x, d)).unwrap();
+        let trivial = Route::path(routelab_spp::Path::trivial(d));
+        let xd = codec.route_id(&Route::path(inst.parse_path("xd").unwrap())).unwrap();
         let init = NetworkState::initial(&inst, &index);
         let mut queues = vec![Vec::new(); index.len()];
-        // Usable on (x, a): survives the projection. Unusable on (x, d):
-        // x's announcement can never extend at the destination.
-        queues[xa].push(xd.clone());
-        queues[xd_chan].push(xd.clone());
-        let mut s = NetworkState::from_parts(
+        queues[dx].push(trivial.clone());
+        let mut announced: Vec<Route> = inst.nodes().map(|v| init.announced(v).clone()).collect();
+        announced[d.index()] = trivial;
+        let parent = NetworkState::from_parts(
             init.assignment(),
-            inst.nodes().map(|v| init.announced(v).clone()).collect(),
+            announced,
             (0..index.len()).map(|c| init.learned(c).clone()).collect(),
             queues,
         );
-        let mut absorbed = Vec::new();
-        red.normalize(&mut s, &mut absorbed);
-        assert_eq!(s.queue(xa).peek(1), Some(&xd));
+        let mut words = Vec::new();
+        codec.encode_into(&parent, &mut words).unwrap();
+        let step = CanonicalStep {
+            node: x,
+            effects: vec![ChannelEffect { channel: dx, consume: 1, keep: Some(1) }],
+        };
+        let mut scratch = PackedScratch::default();
+        tables.prepare(&words, &mut scratch);
+        let mut out = Vec::new();
+        let applied = tables.apply(&words, &mut scratch, &step, 3, &mut out);
+        assert!(matches!(applied, Applied::Ok { new_rid, .. } if new_rid == xd), "{applied:?}");
+        let next = codec.decode_words(&out).unwrap();
+        assert_eq!(next.queue(xa).iter().collect::<Vec<_>>(), vec![&codec.routes()[xd as usize]]);
         // The unusable announcement became ε and was then absorbed against
         // the channel's ε ρ — the queue is empty and the edge must attend.
-        assert!(s.queue(xd_chan).is_empty());
-        assert_eq!(absorbed, vec![xd_chan]);
-        let stats = red.stats();
-        assert_eq!(stats.canon_rewrites, 1);
-        assert_eq!(stats.absorb_pops, 1);
+        assert!(next.queue(xd_chan).is_empty());
+        assert_eq!(scratch.absorbed, vec![xd_chan]);
+        assert_eq!(scratch.counts, NormCounts { rewrites: 1, pops: 1, set_collapses: 0 });
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! Runs on the sharded frontier engine ([`crate::frontier`]): search nodes
 //! are `(packed state, matched-prefix-length)` pairs, so the closure is
 //! deterministic at every thread count and a found witness is always the
-//! breadth-first shortest one.
+//! breadth-first shortest one. Successors come from the explorer's packed
+//! kernel ([`crate::exec_packed`]) with every normal form off: the search
+//! walks the literal Definition 2.3 state space.
 
 use routelab_core::model::CommModel;
 use routelab_core::step::{ActivationSeq, ActivationStep};
-use routelab_engine::exec::execute_step;
 use routelab_engine::index::ChannelIndex;
 use routelab_engine::state::NetworkState;
 use routelab_engine::trace::PathTrace;
 use routelab_spp::SppInstance;
 
-use crate::effects::{all_steps, Spec};
+use crate::effects::{all_steps_with, Spec};
 use crate::error::ExploreError;
+use crate::exec_packed::{Applied, ChannelMode, ExecTables, PackedScratch};
 use crate::frontier::{bfs, BfsOptions, Expand, SuccBuf};
 use crate::graph::{cell_of, ExploreConfig};
 use crate::pack::StateCodec;
@@ -73,6 +75,7 @@ struct SearchExpand<'a> {
     index: &'a ChannelIndex,
     model: CommModel,
     codec: &'a StateCodec,
+    tables: ExecTables,
     /// Per target entry, the π of that entry as codec route ids — `None`
     /// when the entry mentions a route outside the instance's universe (no
     /// reachable state can ever match it).
@@ -89,79 +92,68 @@ impl SearchExpand<'_> {
     }
 }
 
-/// Reusable per-worker encode buffer.
-#[derive(Default)]
-struct SearchScratch {
-    enc: Vec<u16>,
-}
-
 impl Expand for SearchExpand<'_> {
     type Label = ActivationStep;
-    type Scratch = SearchScratch;
+    type Scratch = PackedScratch;
 
     fn expand(
         &self,
         _id: u32,
         node: &[u16],
         out: &mut SuccBuf<ActivationStep>,
-        scratch: &mut SearchScratch,
+        scratch: &mut PackedScratch,
     ) -> Result<bool, ExploreError> {
         let (packed, progress) = split_node(node);
-        let state = self.codec.decode_words(packed)?;
         let spec = Spec::Uniform(self.model);
-        let (steps, capped) = all_steps(
+        let (steps, capped) = all_steps_with(
             spec,
             self.index,
-            &state,
+            &|c| self.tables.queue_len(packed, c),
             self.inst.node_count(),
             self.cfg.max_steps_per_state,
         );
         let mut truncated = capped;
+        self.tables.prepare(packed, scratch);
         for cs in steps {
-            let activation = cs.to_activation(spec, self.index);
-            let mut next = state.clone();
-            execute_step(self.inst, self.index, &mut next, &activation);
-            if next.max_queue_len() > self.cfg.channel_cap {
+            let mark = out.mark();
+            if self.tables.apply(packed, scratch, &cs, self.cfg.channel_cap, out.words())
+                == Applied::Capped
+            {
                 truncated = true;
+                out.cancel(mark);
                 continue;
             }
-            self.codec.encode_into(&next, &mut scratch.enc)?;
-            let pi = self.codec.pi_ids_words(&scratch.enc);
+            let pi = self.codec.pi_ids_words(out.since(mark));
             let next_progress = match self.goal {
                 SearchGoal::Exact => {
                     if progress == self.last {
                         // Settling phase: the infinite tail of the base is
                         // constant, so every extra entry must repeat it.
-                        if !self.matches_at(self.last, pi) {
-                            continue;
-                        }
-                        self.last
-                    } else if self.matches_at(progress + 1, pi) {
-                        progress + 1
+                        self.matches_at(self.last, pi).then_some(self.last)
                     } else {
-                        continue;
+                        self.matches_at(progress + 1, pi).then_some(progress + 1)
                     }
                 }
                 SearchGoal::Repetition => {
                     if self.matches_at(progress + 1, pi) {
-                        progress + 1
-                    } else if self.matches_at(progress, pi) {
-                        progress
+                        Some(progress + 1)
                     } else {
-                        continue;
+                        self.matches_at(progress, pi).then_some(progress)
                     }
                 }
                 SearchGoal::Subsequence => {
-                    if self.matches_at(progress + 1, pi) {
-                        progress + 1
-                    } else {
-                        progress
-                    }
+                    Some(if self.matches_at(progress + 1, pi) { progress + 1 } else { progress })
                 }
             };
-            scratch.enc.push((next_progress & 0xFFFF) as u16);
-            scratch.enc.push((next_progress >> 16) as u16);
-            out.push(&scratch.enc, activation);
+            let Some(next_progress) = next_progress else {
+                out.cancel(mark);
+                continue;
+            };
+            out.words().extend_from_slice(&[
+                (next_progress & 0xFFFF) as u16,
+                (next_progress >> 16) as u16,
+            ]);
+            out.commit(mark, cs.to_activation(spec, self.index));
         }
         Ok(truncated)
     }
@@ -230,6 +222,7 @@ pub fn try_search(
         index: &index,
         model,
         codec: &codec,
+        tables: ExecTables::new(inst, &index, &codec, vec![ChannelMode::default(); index.len()]),
         target_ids: &target_ids,
         goal,
         last: (target.len() - 1) as u32,
