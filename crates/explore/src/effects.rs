@@ -195,8 +195,8 @@ pub fn node_steps(
 }
 
 /// [`node_steps`] with queue lengths read through a closure — a canonical
-/// step depends on the state only through its queue lengths, so the packed
-/// fast path enumerates steps straight off a packed header without decoding
+/// step depends on the state only through its queue lengths, so the
+/// explorer enumerates steps straight off a packed header without decoding
 /// a [`NetworkState`].
 pub fn node_steps_with(
     spec: Spec<'_>,
