@@ -1,11 +1,14 @@
 //! Graph-digest golden: every corpus gadget × all 24 models, reduced and
 //! unreduced, at the reduction suite's budget on one thread, plus the eight
 //! Appendix A.3–A.5 trace searches. Each cell records its state count, the
-//! truncation flag, every `ReductionStats` field and an FNV-64 digest over
-//! the interned state words, the edge lists and the π fingerprints; each
-//! search records its outcome and how much it visited. Any change to the
-//! explorer's successor function, normal forms, symmetry quotient or
-//! enumeration order shows up here as a changed line.
+//! truncation flag, every `ReductionStats` field, an FNV-64 digest over the
+//! interned state words, the edge lists and the π fingerprints, and the
+//! fairness analysis of the graph: the verdict kind, the witnessing SCC's
+//! size and, for oscillating cells, an FNV-64 digest of the witness prefix
+//! and cycle. Each search records its outcome and how much it visited. Any
+//! change to the explorer's successor function, normal forms, symmetry
+//! quotient, enumeration order or SCC visiting order shows up here as a
+//! changed line.
 //!
 //! The snapshot is `tests/golden/graph_digests.txt`. To regenerate it after
 //! an intentional change to the explored graphs:
@@ -19,11 +22,14 @@ use std::fs;
 use std::path::PathBuf;
 
 use routelab_core::model::CommModel;
+use routelab_core::step::ActivationSeq;
 use routelab_engine::paper_runs;
 use routelab_engine::runner::Runner;
 use routelab_explore::effects::Spec;
 use routelab_explore::graph::{try_build_spec, ExploreConfig, StateGraph};
+use routelab_explore::oscillation::{analyze_graph, Verdict};
 use routelab_explore::trace_search::{try_search, SearchGoal, SearchResult};
+use routelab_explore::witness::witness_from_graph;
 use routelab_spp::gadgets;
 
 /// 64-bit FNV-1a, fed with little-endian integers.
@@ -85,12 +91,43 @@ fn digest(g: &StateGraph) -> u64 {
     h.0
 }
 
+fn seq_digest(h: &mut Fnv, seq: &ActivationSeq) {
+    h.u64(seq.len() as u64);
+    for step in seq {
+        let text = step.to_string();
+        h.u64(text.len() as u64);
+        h.bytes(text.as_bytes());
+    }
+}
+
+/// The fairness analysis of `g`: verdict kind, SCC size and, when the graph
+/// can oscillate, a digest of the witness extracted from it (`none` when the
+/// graph itself yields no witness, as a symmetry quotient may not).
+fn analysis(spec: Spec<'_>, g: &StateGraph) -> String {
+    match analyze_graph(spec, g) {
+        Verdict::CanOscillate { scc_size, .. } => {
+            let witness = witness_from_graph(spec, g).map_or_else(
+                || "none".to_string(),
+                |w| {
+                    let mut h = Fnv::new();
+                    seq_digest(&mut h, &w.prefix);
+                    seq_digest(&mut h, &w.cycle);
+                    format!("{:016x}", h.0)
+                },
+            );
+            format!("verdict=oscillates scc={scc_size} witness={witness}")
+        }
+        Verdict::AlwaysConverges { .. } => "verdict=converges".to_string(),
+        Verdict::NoOscillationWithinBound { .. } => "verdict=bounded".to_string(),
+    }
+}
+
 fn cell_line(out: &mut String, gadget: &str, model: CommModel, mode: &str, g: &StateGraph) {
     let r = &g.reduction;
     writeln!(
         out,
         "{gadget} {model} {mode} states={} truncated={} enabled={} canon_rewrites={} \
-         absorb_pops={} set_collapses={} sym_hits={} group_order={} digest={:016x}",
+         absorb_pops={} set_collapses={} sym_hits={} group_order={} digest={:016x} {}",
         g.len(),
         g.truncated,
         r.enabled,
@@ -99,7 +136,8 @@ fn cell_line(out: &mut String, gadget: &str, model: CommModel, mode: &str, g: &S
         r.set_collapses,
         r.sym_hits,
         r.group_order,
-        digest(g)
+        digest(g),
+        analysis(Spec::Uniform(model), g)
     )
     .expect("writing to a String");
 }
