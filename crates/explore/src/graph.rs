@@ -1,4 +1,4 @@
-//! Reachable-state-graph construction and SCC decomposition.
+//! Reachable-state-graph construction.
 //!
 //! States are interned in packed form (see [`crate::pack`]) inside a
 //! delta-compressed, spill-capable arena (see [`crate::arena`]) and the
@@ -582,67 +582,17 @@ fn build_with(
     assemble(codec, index, r, reduction, sym)
 }
 
-/// Tarjan's strongly connected components (iterative). Components are
-/// returned in reverse topological order; singleton components without a
-/// self-edge are included (callers filter).
-pub fn sccs(g: &StateGraph) -> Vec<Vec<usize>> {
-    let n = g.len();
-    let mut index_of = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out = Vec::new();
-
-    // Iterative DFS frames: (node, edge cursor).
-    for root in 0..n {
-        if index_of[root] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&(v, cursor)) = call.last() {
-            if cursor == 0 {
-                index_of[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if cursor < g.edges[v].len() {
-                call.last_mut().expect("nonempty").1 += 1;
-                let w = g.edges[v][cursor].to;
-                if index_of[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index_of[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index_of[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack nonempty");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    out.push(comp);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oscillation::{sccs_restricted, Bans, Scratch};
     use routelab_spp::gadgets;
+
+    /// Every SCC of `g`, from the fairness analysis's decomposition.
+    fn sccs(g: &StateGraph) -> Vec<Vec<u32>> {
+        let all: Vec<u32> = (0..g.len() as u32).collect();
+        sccs_restricted(g, &all, &Bans::default(), &mut Scratch::new(g.len()))
+    }
 
     #[test]
     fn line2_graph_is_tiny_and_complete() {
@@ -690,8 +640,8 @@ mod tests {
             if comp.len() > 1 {
                 // Any multi-state SCC must keep π constant (checked fully in
                 // oscillation.rs; here ensure π fp equality).
-                let fp = g.pi_fp[comp[0]];
-                assert!(comp.iter().all(|&s| g.pi_fp[s] == fp));
+                let fp = g.pi_fp[comp[0] as usize];
+                assert!(comp.iter().all(|&s| g.pi_fp[s as usize] == fp));
             }
         }
     }
@@ -721,8 +671,8 @@ mod tests {
         let mut seen = vec![false; g.len()];
         for c in &comps {
             for &s in c {
-                assert!(!seen[s]);
-                seen[s] = true;
+                assert!(!seen[s as usize]);
+                seen[s as usize] = true;
             }
         }
     }

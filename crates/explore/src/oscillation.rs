@@ -16,8 +16,6 @@
 //! exploration was not truncated, **no** fair execution oscillates — the
 //! algorithm converges on every fair activation sequence of the model.
 
-use std::collections::HashMap;
-
 use routelab_core::dims::NeighborScope;
 use routelab_core::hetero::HeteroModel;
 use routelab_core::model::CommModel;
@@ -78,79 +76,198 @@ fn noop_attendable(
     }
 }
 
-/// SCC decomposition restricted to the states of `nodes` and to edges the
-/// filter admits. Returns components as state lists.
-fn sccs_restricted(
-    g: &StateGraph,
-    nodes: &[usize],
-    edge_ok: &dyn Fn(usize, usize) -> bool,
-) -> Vec<Vec<usize>> {
-    let mut in_set = vec![false; g.len()];
-    for &s in nodes {
-        in_set[s] = true;
-    }
-    #[derive(Clone, Copy, PartialEq)]
-    struct Info {
-        index: usize,
-        low: usize,
-    }
-    let mut info: HashMap<usize, Info> = HashMap::new();
-    let mut on_stack: HashMap<usize, bool> = HashMap::new();
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out = Vec::new();
+/// Tarjan index of a node the current decomposition has not visited.
+const UNSEEN: u32 = u32::MAX;
 
+/// Dense per-node scratch, allocated once per [`find_fair_scc`] call. Each
+/// decomposition and component check resets only the nodes it touched, so
+/// a pass costs the nodes and edges it visits, never O(|V|).
+pub(crate) struct Scratch {
+    index: Vec<u32>,
+    low: Vec<u32>,
+    on_stack: Vec<bool>,
+    in_set: Vec<bool>,
+    member: Vec<bool>,
+}
+
+impl Scratch {
+    pub(crate) fn new(n: usize) -> Self {
+        Scratch {
+            index: vec![UNSEEN; n],
+            low: vec![0; n],
+            on_stack: vec![false; n],
+            in_set: vec![false; n],
+            member: vec![false; n],
+        }
+    }
+}
+
+/// Drop-fairness bans, one bit per edge, indexed through per-node edge
+/// offsets. Both stay empty until the first ban, so graphs that never
+/// refine (every DAG) pay nothing for them.
+#[derive(Default)]
+pub(crate) struct Bans {
+    first: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl Bans {
+    fn banned(&self, s: usize, ei: usize) -> bool {
+        !self.first.is_empty() && {
+            let i = self.first[s] + ei;
+            self.bits[i / 64] >> (i % 64) & 1 == 1
+        }
+    }
+
+    pub(crate) fn ban(&mut self, g: &StateGraph, s: usize, ei: usize) {
+        if self.first.is_empty() {
+            let mut total = 0;
+            for out in &g.edges {
+                self.first.push(total);
+                total += out.len();
+            }
+            self.bits = vec![0; total.div_ceil(64)];
+        }
+        let i = self.first[s] + ei;
+        self.bits[i / 64] |= 1 << (i % 64);
+    }
+}
+
+/// Tarjan's SCC decomposition restricted to the states of `nodes` and to
+/// edges `bans` admits. Roots are taken in `nodes` order and edges in index
+/// order; components are returned in pop order (reverse topological).
+pub(crate) fn sccs_restricted(
+    g: &StateGraph,
+    nodes: &[u32],
+    bans: &Bans,
+    sc: &mut Scratch,
+) -> Vec<Vec<u32>> {
+    for &s in nodes {
+        sc.in_set[s as usize] = true;
+    }
+    let (mut stack, mut call): (Vec<u32>, Vec<(u32, u32)>) = (Vec::new(), Vec::new());
+    let mut next_index = 0u32;
+    let mut out = Vec::new();
     for &root in nodes {
-        if info.contains_key(&root) {
+        if sc.index[root as usize] != UNSEEN {
             continue;
         }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
+        call.push((root, 0));
         while let Some(&(v, cursor)) = call.last() {
+            let (vu, cu) = (v as usize, cursor as usize);
             if cursor == 0 {
-                info.insert(v, Info { index: next_index, low: next_index });
+                sc.index[vu] = next_index;
+                sc.low[vu] = next_index;
                 next_index += 1;
                 stack.push(v);
-                on_stack.insert(v, true);
+                sc.on_stack[vu] = true;
             }
-            if cursor < g.edges[v].len() {
+            if cu < g.edges[vu].len() {
                 call.last_mut().expect("nonempty").1 += 1;
-                let e = &g.edges[v][cursor];
-                if !in_set[e.to] || !edge_ok(v, cursor) {
+                let w = g.edges[vu][cu].to;
+                if !sc.in_set[w] || bans.banned(vu, cu) {
                     continue;
                 }
-                let w = e.to;
-                match info.get(&w) {
-                    None => call.push((w, 0)),
-                    Some(wi) => {
-                        if on_stack.get(&w).copied().unwrap_or(false) {
-                            let low = info[&v].low.min(wi.index);
-                            info.get_mut(&v).expect("visited").low = low;
-                        }
-                    }
+                if sc.index[w] == UNSEEN {
+                    call.push((w as u32, 0));
+                } else if sc.on_stack[w] {
+                    sc.low[vu] = sc.low[vu].min(sc.index[w]);
                 }
             } else {
                 call.pop();
-                let vi = info[&v];
-                if let Some(&(parent, _)) = call.last() {
-                    let low = info[&parent].low.min(vi.low);
-                    info.get_mut(&parent).expect("visited").low = low;
+                if let Some(&(p, _)) = call.last() {
+                    sc.low[p as usize] = sc.low[p as usize].min(sc.low[vu]);
                 }
-                if vi.low == vi.index {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack nonempty");
-                        on_stack.insert(w, false);
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
+                if sc.low[vu] == sc.index[vu] {
+                    let at = stack.iter().rposition(|&w| w == v).expect("root on the stack");
+                    let comp: Vec<u32> = stack.drain(at..).rev().collect();
+                    for &w in &comp {
+                        sc.on_stack[w as usize] = false;
                     }
                     out.push(comp);
                 }
             }
         }
     }
+    for &s in nodes {
+        sc.in_set[s as usize] = false;
+        sc.index[s as usize] = UNSEEN;
+    }
     out
+}
+
+/// The π-change, attendance and drop-fairness test of one component whose
+/// nodes are marked in `member`. `None`: no fair oscillation lies in the
+/// component. Otherwise the dropping edges to ban before re-decomposing it,
+/// none when the component itself is fair.
+fn check_component(
+    spec: Spec<'_>,
+    g: &StateGraph,
+    comp: &[u32],
+    member: &[bool],
+    bans: &Bans,
+) -> Option<Vec<(usize, usize)>> {
+    let index = &g.index;
+    let channel_count = index.len();
+    // Internal (non-banned) edges as (state, edge index).
+    let mut internal: Vec<(usize, usize)> = Vec::new();
+    for s in comp.iter().map(|&s| s as usize) {
+        for (ei, e) in g.edges[s].iter().enumerate() {
+            if member[e.to] && !bans.banned(s, ei) {
+                internal.push((s, ei));
+            }
+        }
+    }
+    if internal.is_empty() {
+        return None;
+    }
+    let edge = |&(s, ei): &(usize, usize)| &g.edges[s][ei];
+    // 1. π must change within the component (anti-monotone: a π-constant
+    //    component stays π-constant in every sub-walk).
+    let pi0 = g.pi_fp[comp[0] as usize];
+    let pi_changes = comp.iter().any(|&s| g.pi_fp[s as usize] != pi0)
+        || internal.iter().map(edge).any(|e| e.changes_pi);
+    if !pi_changes {
+        return None;
+    }
+    // 2. Every channel attended (anti-monotone likewise). Channels no
+    //    internal edge attends fall back to noop-attendance at a member
+    //    state; each such state is materialized from the arena once, not
+    //    once per channel.
+    let mut attended_ok = vec![false; channel_count];
+    for e in internal.iter().map(edge) {
+        for &c in e.attended() {
+            attended_ok[c] = true;
+        }
+    }
+    if attended_ok.iter().any(|ok| !ok) {
+        let mut ms = crate::arena::MatScratch::default();
+        let mut ws = Vec::new();
+        'states: for &s in comp {
+            g.nodes.materialize(s, &mut ms, &mut ws).expect("built graphs materialize");
+            for c in 0..channel_count {
+                if !attended_ok[c] && noop_attendable(spec, &g.codec, index, &ws, c) {
+                    attended_ok[c] = true;
+                    if attended_ok.iter().all(|&ok| ok) {
+                        break 'states;
+                    }
+                }
+            }
+        }
+    }
+    if attended_ok.iter().any(|ok| !ok) {
+        return None;
+    }
+    // 3. Drop fairness: channels dropped on but never delivered on must not
+    //    be dropped infinitely often — remove their dropping edges.
+    let offending: Vec<usize> = (0..channel_count)
+        .filter(|c| {
+            internal.iter().map(edge).any(|e| e.dropped().contains(c))
+                && !internal.iter().map(edge).any(|e| e.kept().contains(c))
+        })
+        .collect();
+    internal.retain(|&(s, ei)| g.edges[s][ei].dropped().iter().any(|c| offending.contains(c)));
+    Some(internal)
 }
 
 /// Finds the first reachable component witnessing a fair oscillation.
@@ -159,93 +276,33 @@ fn sccs_restricted(
 /// if a component drops on a channel it never delivers on, a fair walk must
 /// eventually avoid those dropping edges, so they are removed and the
 /// component re-decomposed until either a component passes every condition
-/// or nothing is left.
+/// or nothing is left. Pending work items hold pairwise-disjoint node sets
+/// and bans only grow, so one ban mask serves them all.
 pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> Option<Vec<usize>> {
-    let index = &g.index;
-    let channel_count = index.len();
-
-    // Banned (state, edge idx) pairs accompanying a candidate state set.
-    type BannedEdges = std::collections::HashSet<(usize, usize)>;
-    let all_nodes: Vec<usize> = (0..g.len()).collect();
-    let mut work: Vec<(Vec<usize>, BannedEdges)> = vec![(all_nodes, BannedEdges::new())];
-
-    while let Some((nodes, banned)) = work.pop() {
-        let edge_ok = |s: usize, ei: usize| !banned.contains(&(s, ei));
-        for comp in sccs_restricted(g, &nodes, &edge_ok) {
-            let mut member = vec![false; g.len()];
+    let mut sc = Scratch::new(g.len());
+    let mut bans = Bans::default();
+    let mut work: Vec<Vec<u32>> = vec![(0..g.len() as u32).collect()];
+    while let Some(nodes) = work.pop() {
+        for comp in sccs_restricted(g, &nodes, &bans, &mut sc) {
             for &s in &comp {
-                member[s] = true;
+                sc.member[s as usize] = true;
             }
-            // Internal (non-banned) edges as (state, edge index).
-            let mut internal: Vec<(usize, usize)> = Vec::new();
+            let check = check_component(spec, g, &comp, &sc.member, &bans);
             for &s in &comp {
-                for (ei, e) in g.edges[s].iter().enumerate() {
-                    if member[e.to] && edge_ok(s, ei) {
-                        internal.push((s, ei));
+                sc.member[s as usize] = false;
+            }
+            match check {
+                None => {}
+                Some(dropping) if dropping.is_empty() => {
+                    return Some(comp.into_iter().map(|s| s as usize).collect())
+                }
+                Some(dropping) => {
+                    for (s, ei) in dropping {
+                        bans.ban(g, s, ei);
                     }
+                    work.push(comp);
                 }
             }
-            if internal.is_empty() {
-                continue;
-            }
-            let edge = |&(s, ei): &(usize, usize)| &g.edges[s][ei];
-            // 1. π must change within the component (anti-monotone: a
-            //    π-constant component stays π-constant in every sub-walk).
-            let pi0 = g.pi_fp[comp[0]];
-            let pi_changes = comp.iter().any(|&s| g.pi_fp[s] != pi0)
-                || internal.iter().map(edge).any(|e| e.changes_pi);
-            if !pi_changes {
-                continue;
-            }
-            // 2. Every channel attended (anti-monotone likewise). Channels
-            //    no internal edge attends fall back to noop-attendance at a
-            //    member state; each such state is materialized from the
-            //    arena once, not once per channel.
-            let mut attended_ok = vec![false; channel_count];
-            for e in internal.iter().map(edge) {
-                for &c in e.attended() {
-                    attended_ok[c] = true;
-                }
-            }
-            if attended_ok.iter().any(|ok| !ok) {
-                let mut ms = crate::arena::MatScratch::default();
-                let mut ws = Vec::new();
-                'states: for &s in &comp {
-                    g.nodes
-                        .materialize(s as u32, &mut ms, &mut ws)
-                        .expect("built graphs materialize");
-                    for c in 0..channel_count {
-                        if !attended_ok[c] && noop_attendable(spec, &g.codec, index, &ws, c) {
-                            attended_ok[c] = true;
-                            if attended_ok.iter().all(|&ok| ok) {
-                                break 'states;
-                            }
-                        }
-                    }
-                }
-            }
-            if attended_ok.iter().any(|ok| !ok) {
-                continue;
-            }
-            // 3. Drop fairness: channels dropped on but never delivered on
-            //    must not be dropped infinitely often — remove their
-            //    dropping edges and re-decompose.
-            let offending: Vec<usize> = (0..channel_count)
-                .filter(|c| {
-                    internal.iter().map(edge).any(|e| e.dropped().contains(c))
-                        && !internal.iter().map(edge).any(|e| e.kept().contains(c))
-                })
-                .collect();
-            if offending.is_empty() {
-                return Some(comp);
-            }
-            let mut banned2 = banned.clone();
-            for &(s, ei) in &internal {
-                if g.edges[s][ei].dropped().iter().any(|c| offending.contains(c)) {
-                    banned2.insert((s, ei));
-                }
-            }
-            work.push((comp, banned2));
         }
     }
     None
@@ -260,6 +317,7 @@ pub(crate) fn find_fair_scc(spec: Spec<'_>, g: &StateGraph) -> Option<Vec<usize>
 /// `states` counts are always the built graph's — the quotient's, for
 /// reduced builds.
 pub fn analyze_graph(spec: Spec<'_>, g: &StateGraph) -> Verdict {
+    let _span = routelab_obs::span("explore.analyze");
     let states = g.len();
     let fair = if g.sym.is_some() {
         let unfolded = crate::reduce::unfold_symmetry(g);
@@ -330,6 +388,127 @@ pub fn try_analyze_spec(
 mod tests {
     use super::*;
     use routelab_spp::gadgets;
+    use std::collections::{BTreeSet, VecDeque};
+
+    type Partition = BTreeSet<BTreeSet<usize>>;
+
+    /// States reachable from `root` over `adj` (root included).
+    fn reach(adj: &[Vec<usize>], root: usize) -> Vec<bool> {
+        let mut seen = vec![false; adj.len()];
+        seen[root] = true;
+        let mut queue = VecDeque::from([root]);
+        while let Some(s) = queue.pop_front() {
+            for &t in &adj[s] {
+                if !seen[t] {
+                    seen[t] = true;
+                    queue.push_back(t);
+                }
+            }
+        }
+        seen
+    }
+
+    /// The mutual-reachability partition of `nodes` over the edges `ok`
+    /// admits, by brute force: each unassigned state's class is its forward
+    /// reach intersected with its backward reach.
+    fn oracle_partition(
+        g: &StateGraph,
+        nodes: &[u32],
+        ok: &dyn Fn(usize, usize) -> bool,
+    ) -> Partition {
+        let mut in_set = vec![false; g.len()];
+        for &s in nodes {
+            in_set[s as usize] = true;
+        }
+        let mut fwd = vec![Vec::new(); g.len()];
+        let mut bwd = vec![Vec::new(); g.len()];
+        for &s in nodes {
+            let s = s as usize;
+            for (ei, e) in g.edges[s].iter().enumerate() {
+                if in_set[e.to] && ok(s, ei) {
+                    fwd[s].push(e.to);
+                    bwd[e.to].push(s);
+                }
+            }
+        }
+        let mut assigned = vec![false; g.len()];
+        let mut out = Partition::new();
+        for &u in nodes {
+            let u = u as usize;
+            if assigned[u] {
+                continue;
+            }
+            let (f, b) = (reach(&fwd, u), reach(&bwd, u));
+            let class: BTreeSet<usize> = (0..g.len()).filter(|&v| f[v] && b[v]).collect();
+            for &v in &class {
+                assigned[v] = true;
+            }
+            out.insert(class);
+        }
+        out
+    }
+
+    fn tarjan_partition(g: &StateGraph, nodes: &[u32], bans: &Bans, sc: &mut Scratch) -> Partition {
+        let comps = sccs_restricted(g, nodes, bans, sc);
+        comps.into_iter().map(|c| c.into_iter().map(|s| s as usize).collect()).collect()
+    }
+
+    #[test]
+    fn tarjan_matches_the_mutual_reachability_oracle() {
+        let cfg = ExploreConfig {
+            channel_cap: 2,
+            max_states: 1_500,
+            max_steps_per_state: 20_000,
+            threads: Some(1),
+            ..ExploreConfig::default()
+        };
+        for (name, inst) in gadgets::corpus() {
+            for model in CommModel::all() {
+                for reduce in [true, false] {
+                    let g = build_spec(
+                        &inst,
+                        Spec::Uniform(model),
+                        &ExploreConfig { reduce, ..cfg.clone() },
+                    );
+                    let all: Vec<u32> = (0..g.len() as u32).collect();
+                    let oracle = oracle_partition(&g, &all, &|_, _| true);
+                    // Twice on one scratch: a pass must leave it as it found it.
+                    let mut sc = Scratch::new(g.len());
+                    for pass in 0..2 {
+                        assert_eq!(
+                            tarjan_partition(&g, &all, &Bans::default(), &mut sc),
+                            oracle,
+                            "{name} × {model} reduce={reduce} pass {pass}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restricted_tarjan_with_bans_matches_the_oracle() {
+        // The largest SCC of DISAGREE × R1O, re-decomposed with every
+        // π-changing edge banned, the way drop-fairness refinement
+        // re-decomposes a component.
+        let spec = Spec::Uniform("R1O".parse().unwrap());
+        let g = build_spec(&gadgets::disagree(), spec, &ExploreConfig::default());
+        let all: Vec<u32> = (0..g.len() as u32).collect();
+        let mut sc = Scratch::new(g.len());
+        let comps = sccs_restricted(&g, &all, &Bans::default(), &mut sc);
+        let nodes = comps.into_iter().max_by_key(Vec::len).expect("nonempty graph");
+        let mut bans = Bans::default();
+        for &s in &nodes {
+            for (ei, e) in g.edges[s as usize].iter().enumerate() {
+                if e.changes_pi {
+                    bans.ban(&g, s as usize, ei);
+                }
+            }
+        }
+        let oracle = oracle_partition(&g, &nodes, &|s, ei| !g.edges[s][ei].changes_pi);
+        assert!(oracle.len() > 1, "the bans must split the component");
+        assert_eq!(tarjan_partition(&g, &nodes, &bans, &mut sc), oracle);
+    }
 
     fn verdict(inst: &routelab_spp::SppInstance, model: &str) -> Verdict {
         analyze(inst, model.parse().unwrap(), &ExploreConfig::default())

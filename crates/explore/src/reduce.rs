@@ -398,6 +398,7 @@ impl SymTables {
 /// The `step` field of un-folded edges is *not* relabeled: witnesses are
 /// only ever extracted from unreduced graphs.
 pub(crate) fn unfold_symmetry(g: &StateGraph) -> StateGraph {
+    let _span = routelab_obs::span("explore.unfold");
     let t = g.sym.as_ref().expect("unfold_symmetry requires symmetry tables").clone();
     let mut ids: HashMap<(usize, usize), usize> = HashMap::new();
     let mut nodes: Vec<(usize, usize)> = Vec::new();

@@ -10,7 +10,7 @@
 //! which also accounts for the state-preserving attendance steps that can
 //! be interleaved freely).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use routelab_core::model::CommModel;
 use routelab_core::step::ActivationSeq;
@@ -40,7 +40,7 @@ fn bfs_path(
     if from == to {
         return Some(Vec::new());
     }
-    let mut prev: HashMap<usize, (usize, usize)> = HashMap::new(); // state -> (pred, edge idx)
+    let mut prev: Vec<Option<(usize, usize)>> = vec![None; g.len()]; // state -> (pred, edge idx)
     let mut queue = VecDeque::from([from]);
     while let Some(s) = queue.pop_front() {
         for (ei, e) in g.edges[s].iter().enumerate() {
@@ -49,13 +49,12 @@ fn bfs_path(
                     continue;
                 }
             }
-            if e.to != from && !prev.contains_key(&e.to) {
-                prev.insert(e.to, (s, ei));
+            if e.to != from && prev[e.to].is_none() {
+                prev[e.to] = Some((s, ei));
                 if e.to == to {
                     let mut path = Vec::new();
                     let mut cur = to;
-                    while cur != from {
-                        let (p, ei) = prev[&cur];
+                    while let Some((p, ei)) = prev[cur] {
                         path.push((p, ei));
                         cur = p;
                     }
